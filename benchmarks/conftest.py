@@ -24,6 +24,12 @@ Every benchmark's numbers land in ``results/`` in one uniform schema:
   by writing ``results/BENCH_timings.json`` -- the whole suite's duration
   trajectory in the same schema.
 
+Ratio gates time their loops **hermetically**: :func:`run_hermetic` runs
+the benchmark file itself as a script in a fresh interpreter (each such
+file prints its JSON report under ``if __name__ == "__main__"``), so no
+allocator, cache or interpreter state of the long pytest session leaks
+into the measured ratio.
+
 ``tools/bench_compare.py`` diffs these artifacts against a previous
 checkout (or any directory of artifacts) so the perf trajectory of the
 repo is tracked commit over commit.
@@ -34,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -128,6 +135,26 @@ def run_once(benchmark, function, *args, **kwargs):
     name = getattr(benchmark, "name", None) or getattr(function, "__name__", "benchmark")
     _TIMINGS[name] = time.perf_counter() - started
     return result
+
+
+def run_hermetic(script: str, timeout: float = 600.0) -> Dict[str, object]:
+    """Run benchmark file ``script`` in a fresh interpreter; parse its JSON report.
+
+    The script must print exactly one JSON object on stdout when run as
+    ``python <script>``.  Raises ``RuntimeError`` with the captured output
+    when it exits non-zero.
+    """
+
+    path = Path(script).resolve()
+    completed = subprocess.run(
+        [sys.executable, str(path)], capture_output=True, text=True, timeout=timeout
+    )
+    if completed.returncode != 0:
+        raise RuntimeError(
+            f"hermetic run of {path.name} failed (exit {completed.returncode}):\n"
+            f"{completed.stdout}\n{completed.stderr}"
+        )
+    return json.loads(completed.stdout)
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -30,7 +30,6 @@ JSON by hand.
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -111,27 +110,10 @@ def run_eval() -> Dict[str, object]:
     }
 
 
-def _hermetic_eval() -> Dict[str, object]:
-    """Run :func:`run_eval` in a fresh interpreter and parse its report."""
-
-    completed = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve())],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    if completed.returncode != 0:
-        raise RuntimeError(
-            f"hermetic engine-eval run failed (exit {completed.returncode}):\n"
-            f"{completed.stdout}\n{completed.stderr}"
-        )
-    return json.loads(completed.stdout)
-
-
 def test_engine_speedup_on_blackbox_eval_loop(benchmark):
-    from conftest import run_once, write_bench_artifact
+    from conftest import run_hermetic, run_once, write_bench_artifact
 
-    report = run_once(benchmark, _hermetic_eval)
+    report = run_once(benchmark, run_hermetic, __file__)
     forwards = report["total_forward_images"]
     speedup = report["speedup"]
 

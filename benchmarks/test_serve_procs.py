@@ -37,7 +37,6 @@ JSON by hand.
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -134,27 +133,10 @@ def run_ladder() -> Dict[str, object]:
     return {"num_requests": len(stream), "ratios": ratios, "rows": rows}
 
 
-def _hermetic_ladder() -> Dict[str, object]:
-    """Run :func:`run_ladder` in a fresh interpreter and parse its report."""
-
-    completed = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve())],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    if completed.returncode != 0:
-        raise RuntimeError(
-            f"hermetic ladder run failed (exit {completed.returncode}):\n"
-            f"{completed.stdout}\n{completed.stderr}"
-        )
-    return json.loads(completed.stdout)
-
-
 def test_process_shards_vs_thread_shards(benchmark):
-    from conftest import run_once, write_bench_artifact
+    from conftest import run_hermetic, run_once, write_bench_artifact
 
-    report = run_once(benchmark, _hermetic_ladder)
+    report = run_once(benchmark, run_hermetic, __file__)
     ratios = {int(level): value for level, value in report["ratios"].items()}
     for level in LOAD_LADDER:
         thread_row, process_row = [

@@ -33,7 +33,7 @@ from conftest import run_once, write_bench_artifact
 
 from repro.core import DefenseConfig, DefendedClassifier
 from repro.serve import (
-    InferenceServer,
+    BatchedServer,
     ModelRegistry,
     generate_requests,
     run_load,
@@ -76,7 +76,7 @@ def test_micro_batching_speedup(benchmark):
         key=lambda report: report.images_per_second,
     )
 
-    batched_server = InferenceServer(
+    batched_server = BatchedServer(
         registry, max_batch_size=MAX_BATCH_SIZE, cache_size=0, mode="sync"
     )
     batched = run_once(
@@ -87,7 +87,7 @@ def test_micro_batching_speedup(benchmark):
         if replay.images_per_second > batched.images_per_second:
             batched = replay
 
-    cached_server = InferenceServer(
+    cached_server = BatchedServer(
         registry, max_batch_size=MAX_BATCH_SIZE, cache_size=2 * NUM_REQUESTS, mode="sync"
     )
     cached = run_load(cached_server, repeat_stream, label="micro_batched[cached]")
@@ -120,7 +120,7 @@ def test_micro_batching_speedup(benchmark):
 
 def test_thread_scheduler_keeps_up(benchmark):
     _classifier, registry, unique_stream, _repeat = _serving_setup()
-    server = InferenceServer(
+    server = BatchedServer(
         registry, max_batch_size=MAX_BATCH_SIZE, max_wait_ms=2.0, cache_size=0, mode="thread"
     )
 

@@ -9,10 +9,11 @@ gradients of a scalar loss with respect to every tensor in the graph via
 The design mirrors the familiar PyTorch semantics at a much smaller scale:
 
 * every differentiable operation creates a new ``Tensor`` whose ``_parents``
-  reference the inputs and whose ``_backward`` closure accumulates gradients
-  into those inputs;
+  reference the inputs and whose ``_backward`` function, called with the
+  node itself, accumulates gradients into those inputs;
 * ``backward()`` performs a topological sort of the graph and runs the
-  closures in reverse order;
+  functions in reverse order.  No node references itself, so a graph is
+  freed by reference counting as soon as its last tensor is dropped;
 * broadcasting is supported for the elementwise arithmetic operators -- the
   gradient of a broadcast operand is summed back to its original shape.
 
@@ -101,19 +102,22 @@ class Tensor:
     parents:
         Internal -- tensors this node was computed from.
     backward_fn:
-        Internal -- closure that propagates ``self.grad`` into the parents.
+        Internal -- ``backward_fn(self)`` propagates ``self.grad`` into the
+        parents.
     name:
         Optional human-readable label used in ``repr`` and debugging.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_backward", "name", "__weakref__"
+    )
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
         parents: Sequence["Tensor"] = (),
-        backward_fn: Optional[Callable[[], None]] = None,
+        backward_fn: Optional[Callable[["Tensor"], None]] = None,
         name: str = "",
     ) -> None:
         if isinstance(data, Tensor):
@@ -122,7 +126,9 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
         self._parents: Tuple[Tensor, ...] = tuple(parents) if is_grad_enabled() else ()
-        self._backward: Optional[Callable[[], None]] = backward_fn if is_grad_enabled() else None
+        self._backward: Optional[Callable[["Tensor"], None]] = (
+            backward_fn if is_grad_enabled() else None
+        )
         self.name = name
 
     # ------------------------------------------------------------------
@@ -221,19 +227,17 @@ class Tensor:
     ) -> "Tensor":
         """Create an op output node.
 
-        ``backward_fn`` receives the freshly created output tensor so it can
-        read ``out.grad`` and push gradients to the parents.
+        ``backward_fn`` receives the output tensor when the backward pass
+        reaches it, so it can read ``out.grad`` and push gradients to the
+        parents.  It is stored as is: a closure over ``out`` would make a
+        reference cycle that only the cyclic garbage collector could free.
         """
 
         requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=requires_grad, name=name)
         if requires_grad:
             out._parents = tuple(parents)
-
-            def _backward() -> None:
-                backward_fn(out)
-
-            out._backward = _backward
+            out._backward = backward_fn
         return out
 
     # ------------------------------------------------------------------
@@ -573,7 +577,7 @@ class Tensor:
         ordering = self._topological_order()
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     def _topological_order(self) -> list:
         """Return nodes reachable from ``self`` in topological order."""

@@ -15,8 +15,7 @@ workload:
   ``max_batch_size``/``max_wait`` from observed arrival rate and
   per-batch latency (every server's ``autotune=True`` knob);
 * :class:`~repro.serve.server.BatchedServer` -- the single-queue server
-  wiring the three together behind submit/predict calls (alias
-  ``InferenceServer``);
+  wiring the three together behind submit/predict calls;
 * :class:`~repro.serve.shard.ShardedServer` -- multi-model sharding:
   per-variant worker shards (each a pinned :class:`BatchedServer` with its
   own scheduler and cache), replicas, and pluggable round-robin /
@@ -58,7 +57,7 @@ from .frontend import SocketClient, SocketFrontend
 from .http import HttpClient, HttpFrontend
 from .procshard import ProcessReplica
 from .registry import ModelRegistry, ModelSnapshot, classifier_from_snapshot
-from .server import BatchedServer, InferenceServer
+from .server import BatchedServer
 from .shard import (
     LeastLoadedPolicy,
     RoundRobinPolicy,
@@ -90,7 +89,6 @@ __all__ = [
     "ModelSnapshot",
     "classifier_from_snapshot",
     "BatchedServer",
-    "InferenceServer",
     "ShardedServer",
     "ShardReplica",
     "ProcessReplica",

@@ -18,7 +18,7 @@ Two execution modes are provided:
 
 The batcher is model-agnostic: it resolves each batch through a
 ``batch_runner(model_name, requests) -> responses`` callable supplied by
-the owner (the :class:`~repro.serve.server.InferenceServer`).  Requests for
+the owner (the :class:`~repro.serve.server.BatchedServer`).  Requests for
 different models submitted concurrently are grouped per model before being
 run.
 

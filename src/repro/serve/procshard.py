@@ -21,19 +21,20 @@ interpreter entirely:
   computing forms the next batch (up to ``max_batch_size``) -- burst
   traffic coalesces into full batches with no straggler timer at all.
 
-The replica exposes the same surface as a shard-embedded
-:class:`~repro.serve.server.BatchedServer` (``submit``/``predict`` /
-``start``/``stop``/``restart``/``flush``/``warm``/``stats``/``alive``), so
+The replica shares the front half of a serving queue with
+:class:`~repro.serve.server.BatchedServer` -- validation, counters, the
+parent-side prediction cache, response building, ``metrics()`` and
+``predict``/``predict_many`` all come from the same base class -- so
 :class:`~repro.serve.shard.ShardedServer` embeds it unchanged under
-``mode="process"`` -- including transparent crash restart (a dead worker
-process is respawned and the stranded requests are re-dispatched) and
-graceful drain on ``stop()``.
+``mode="process"``.  What is its own is the pipe, the busy-driven buffer,
+the worker lifecycle, transparent crash restart (a dead worker process is
+respawned and the stranded requests are re-dispatched) and graceful drain
+on ``stop()``.
 
 Thread-safety: ``submit`` may be called from any number of parent threads;
 replica state is guarded by one lock and the pipe is written only under
 it.  Lifecycle methods (``start``/``stop``/``restart``) belong to the
-owner.  Prediction caching runs parent-side with the same fingerprint
-semantics as the thread-mode server.
+owner.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.signs import SIGN_CLASSES
-from .autotune import BatchTuner
 from .batching import QueuedRequest
-from .cache import cache_metrics, image_fingerprint, make_prediction_cache
 from .registry import ModelSnapshot, classifier_from_snapshot
-from .types import PredictRequest, PredictResponse, ServerStats, UnknownModelError
+from .server import _ServingQueue
+from .types import PredictRequest, PredictResponse
 
 __all__ = ["ProcessReplica", "worker_main"]
 
@@ -64,10 +63,14 @@ _READY_TIMEOUT = 120.0
 #: shutdown sentinel before escalating to ``terminate()``.
 _JOIN_TIMEOUT = 10.0
 
+#: Chunk size of the worker-side engine forward.
+_ENGINE_BATCH_SIZE = 32
 
-def worker_main(
-    snapshot: ModelSnapshot, connection, engine_batch_size: int = 32
-) -> None:
+#: Workers start by ``fork`` where available (cheapest startup), else ``spawn``.
+_CONTEXT = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+
+
+def worker_main(snapshot: ModelSnapshot, connection) -> None:
     """Entry point of one shard worker process.
 
     Rebuilds the classifier from the registry snapshot, compiles a private
@@ -109,7 +112,7 @@ def worker_main(
         try:
             if engine is not None:
                 probabilities = engine.predict_proba(
-                    images, batch_size=engine_batch_size
+                    images, batch_size=_ENGINE_BATCH_SIZE
                 )
             else:
                 probabilities = classifier.predict_proba(
@@ -125,12 +128,13 @@ def worker_main(
                 return
 
 
-class ProcessReplica:
+class ProcessReplica(_ServingQueue):
     """One shard replica whose batched forwards run in a worker process.
 
     Drop-in peer of a shard-embedded
-    :class:`~repro.serve.server.BatchedServer`: same submit/lifecycle/stats
-    surface, but the model lives in a child process compiled from a
+    :class:`~repro.serve.server.BatchedServer`: the same serving-queue
+    front half (submit, cache, stats, metrics, predict), but the model
+    lives in a child process compiled from a
     :class:`~repro.serve.registry.ModelSnapshot`, so its forward passes
     run on a separate interpreter (true parallelism across cores, no GIL
     sharing with the ingest path).
@@ -144,11 +148,9 @@ class ProcessReplica:
         weights.  Typically ``lambda: registry.snapshot(name)``.
     max_batch_size:
         Upper bound on requests folded into one worker round trip.
-    cache_size:
-        Parent-side prediction-cache capacity; 0 disables caching.
-    cache_policy:
-        Admission policy of the parent-side cache: ``"lru"`` or
-        ``"tinylfu"`` (see :mod:`repro.serve.admission`).
+    cache_size, cache_policy, class_names, allowed_models, shard_id:
+        As for :class:`~repro.serve.server.BatchedServer`; the prediction
+        cache lives parent-side.
     autotune:
         When True a parent-side :class:`~repro.serve.autotune.BatchTuner`
         adjusts ``max_batch_size`` online from the dispatch-to-completion
@@ -156,19 +158,6 @@ class ProcessReplica:
         busy-driven, so there is no wait knob to tune).  The tuner lives
         on the replica object (``self.tuner``), not the worker, so its
         learned state survives worker crash-restarts.
-    class_names:
-        Human-readable class labels; defaults to the 18 LISA sign classes.
-    allowed_models:
-        When given, requests for other variants are rejected with
-        :class:`~repro.serve.types.UnknownModelError` at submit time.
-    shard_id:
-        Identifier stamped on every response this replica produces.
-    mp_context:
-        ``multiprocessing`` context to spawn workers with; defaults to
-        ``fork`` where available (cheapest startup) and ``spawn``
-        elsewhere.
-    engine_batch_size:
-        Chunk size of the worker-side engine forward.
     """
 
     def __init__(
@@ -182,40 +171,22 @@ class ProcessReplica:
         class_names: Optional[Sequence[str]] = None,
         allowed_models: Optional[Sequence[str]] = None,
         shard_id: Optional[str] = None,
-        mp_context=None,
-        engine_batch_size: int = 32,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
+        super().__init__(
+            max_batch_size=max_batch_size,
+            cache_size=cache_size,
+            cache_policy=cache_policy,
+            autotune=autotune,
+            class_names=class_names,
+            allowed_models=allowed_models,
+            shard_id=shard_id,
+        )
         self.snapshot_factory = snapshot_factory
-        self.max_batch_size = max_batch_size
-        # Starting point, not a clamp: widen the ladder to include an
-        # explicit max_batch_size above the default bound.
-        self.tuner = (
-            BatchTuner(
-                initial_batch_size=max_batch_size,
-                min_batch_size=min(2, max_batch_size),
-                max_batch_size=max(64, max_batch_size),
-            )
-            if autotune
-            else None
+        self.max_batch_size = (
+            self.tuner.batch_size if self.tuner is not None else max_batch_size
         )
-        if self.tuner is not None:
-            self.max_batch_size = self.tuner.batch_size
-        self.cache = make_prediction_cache(cache_policy, cache_size)
-        self.class_names = (
-            list(class_names) if class_names is not None else list(SIGN_CLASSES)
-        )
-        self.allowed_models = (
-            frozenset(allowed_models) if allowed_models is not None else None
-        )
-        self.shard_id = shard_id
-        self.engine_batch_size = engine_batch_size
-        self.stats = ServerStats()
-        if mp_context is None:
-            methods = mp.get_all_start_methods()
-            mp_context = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._ctx = mp_context
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._buffer: List[QueuedRequest] = []
@@ -266,10 +237,10 @@ class ProcessReplica:
             if self._running:
                 return self
         snapshot = self.snapshot_factory()
-        parent_connection, child_connection = self._ctx.Pipe()
-        process = self._ctx.Process(
+        parent_connection, child_connection = _CONTEXT.Pipe()
+        process = _CONTEXT.Process(
             target=worker_main,
-            args=(snapshot, child_connection, self.engine_batch_size),
+            args=(snapshot, child_connection),
             daemon=True,
             name=f"proc-shard-{self.shard_id or snapshot.name}",
         )
@@ -324,12 +295,7 @@ class ProcessReplica:
                 self._idle.wait(timeout=0.1)
                 if self._process is not None and not self._process.is_alive():
                     break
-            stranded: List[QueuedRequest] = []
-            for batch_id in sorted(self._inflight):
-                stranded.extend(self._inflight.pop(batch_id))
-            self._dispatch_times.clear()
-            stranded.extend(self._buffer)
-            self._buffer = []
+            stranded = self._take_stranded_locked()
         for item in stranded:
             if not item.future.done():
                 item.future.set_exception(
@@ -351,47 +317,30 @@ class ProcessReplica:
         """
 
         with self._lock:
-            stranded: List[QueuedRequest] = []
-            for batch_id in sorted(self._inflight):
-                stranded.extend(self._inflight.pop(batch_id))
-            self._dispatch_times.clear()
-            stranded.extend(self._buffer)
-            self._buffer = []
+            # start() dispatches whatever is buffered once the worker is up.
+            self._buffer = self._take_stranded_locked()
             self._busy = False
             self._running = False
         self._shutdown_worker(force=True)
-        self.stats.restarts += 1
-        self.start()
-        if stranded:
-            with self._lock:
-                self._buffer[:0] = stranded
-                if not self._busy:
-                    self._dispatch_locked()
-        return self
+        self.stats.record_restart()
+        return self.start()
+
+    def _take_stranded_locked(self) -> List[QueuedRequest]:
+        """Empty the in-flight batches (oldest first) and the buffer, in order."""
+
+        stranded: List[QueuedRequest] = []
+        for batch_id in sorted(self._inflight):
+            stranded.extend(self._inflight.pop(batch_id))
+        self._dispatch_times.clear()
+        stranded.extend(self._buffer)
+        self._buffer = []
+        return stranded
 
     def flush(self) -> None:
         """No-op: process replicas dispatch eagerly (API parity hook)."""
 
     def warm(self, model: Optional[str] = None) -> None:
         """No-op: the worker compiles its engine during :meth:`start`."""
-
-    def metrics(self) -> dict:
-        """Live serving metrics of this replica (JSON-friendly).
-
-        Same envelope as :meth:`repro.serve.server.BatchedServer.metrics`
-        -- stats counters, cache counters, tuner snapshot -- so sharded
-        ``metrics()`` aggregation and the HTTP gateway treat thread and
-        process replicas identically.
-        """
-
-        return {
-            "mode": self.mode,
-            "alive": self.alive,
-            "shard_id": self.shard_id,
-            "stats": self.stats.as_dict(),
-            "cache": cache_metrics(self.cache),
-            "autotune": self.tuner.as_dict() if self.tuner is not None else None,
-        }
 
     def _shutdown_worker(self, force: bool = False) -> None:
         connection, process, receiver = self._connection, self._process, self._receiver
@@ -413,46 +362,10 @@ class ProcessReplica:
         if receiver is not None and receiver is not threading.current_thread():
             receiver.join(timeout=_JOIN_TIMEOUT)
 
-    def __enter__(self) -> "ProcessReplica":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> "Future[PredictResponse]":
-        """Submit one request; returns a ``Future[PredictResponse]``.
-
-        Cache hits resolve immediately; misses resolve when the worker
-        round trip carrying the request completes.  Raises
-        :class:`~repro.serve.types.UnknownModelError` when the replica is
-        pinned to other variants, ``RuntimeError`` when the replica is not
-        running.  Safe to call from any thread.
-        """
-
-        if self.allowed_models is not None and request.model not in self.allowed_models:
-            self.stats.rejected += 1
-            raise UnknownModelError(request.model, self.allowed_models)
-        self.stats.record_request(request.model)
-        started = time.perf_counter()
-        if self.cache.enabled:
-            key = image_fingerprint(request.model, request.image)
-            probabilities = self.cache.get(key)
-            if probabilities is not None:
-                self.stats.cache_hits += 1
-                future: "Future[PredictResponse]" = Future()
-                future.set_result(
-                    self._build_response(
-                        request,
-                        probabilities,
-                        latency_ms=(time.perf_counter() - started) * 1000.0,
-                        cache_hit=True,
-                        batch_size=1,
-                    )
-                )
-                return future
+    def _enqueue(self, request: PredictRequest) -> "Future[PredictResponse]":
         # (No tuner.record_arrival here: process batching is busy-driven,
         # there is no wait knob for the arrival-rate estimate to feed, so
         # the bookkeeping would be pure per-submit lock contention.)
@@ -466,21 +379,6 @@ class ProcessReplica:
             if not self._busy:
                 self._dispatch_locked()
         return item.future
-
-    def predict(self, image: np.ndarray, model: str = "baseline") -> PredictResponse:
-        """Synchronous convenience: submit one image and wait for the answer."""
-
-        return self.submit(PredictRequest(image=image, model=model)).result()
-
-    def predict_many(
-        self, images: np.ndarray, model: str = "baseline"
-    ) -> List[PredictResponse]:
-        """Submit a stack of images and wait for all responses (in order)."""
-
-        futures = [
-            self.submit(PredictRequest(image=image, model=model)) for image in images
-        ]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # Parent-side batching + response plumbing
@@ -536,68 +434,28 @@ class ProcessReplica:
         with self._lock:
             batch = self._inflight.pop(batch_id, [])
             dispatched_at = self._dispatch_times.pop(batch_id, None)
-            if probabilities is not None and batch:
-                self.stats.record_batch(len(batch))
-                if self.tuner is not None and dispatched_at is not None:
-                    # The round trip (IPC + worker forward) is the batch
-                    # latency the controller optimizes in process mode.
-                    self.tuner.record_batch(len(batch), now - dispatched_at)
-                    self.max_batch_size = self.tuner.batch_size
+            if self.tuner is not None and batch and error is None:
+                # The round trip (IPC + worker forward) is the batch
+                # latency the controller optimizes in process mode.
+                self.tuner.record_batch(len(batch), now - dispatched_at)
+                self.max_batch_size = self.tuner.batch_size
             # Feed the worker its next batch before resolving futures, so
             # it computes while the parent runs response callbacks.
             if self._buffer and not self._worker_dead:
                 self._dispatch_locked()
             else:
                 self._busy = False
-        for position, item in enumerate(batch):
-            if error is not None:
+        if error is not None:
+            for item in batch:
                 if not item.future.done():
                     item.future.set_exception(error)
-                continue
-            probability_row = probabilities[position]
-            response = self._build_response(
-                item.request,
-                probability_row,
-                latency_ms=(now - item.submitted_at) * 1000.0,
-                cache_hit=False,
-                batch_size=len(batch),
-            )
-            if self.cache.enabled:
-                self.cache.put(
-                    image_fingerprint(item.request.model, item.request.image),
-                    probability_row,
-                )
-            if not item.future.done():  # stop() may have failed it already
-                item.future.set_result(response)
+        elif batch:
+            for item, response in zip(batch, self._answer(batch, probabilities, now)):
+                if not item.future.done():  # stop() may have failed it already
+                    item.future.set_result(response)
         with self._idle:
             if not self._buffer and not self._inflight:
                 self._idle.notify_all()
-
-    def _build_response(
-        self,
-        request: PredictRequest,
-        probabilities: np.ndarray,
-        latency_ms: float,
-        cache_hit: bool,
-        batch_size: int,
-    ) -> PredictResponse:
-        class_index = int(np.argmax(probabilities))
-        class_name = (
-            self.class_names[class_index]
-            if 0 <= class_index < len(self.class_names)
-            else str(class_index)
-        )
-        return PredictResponse(
-            request_id=request.request_id,
-            model=request.model,
-            class_index=class_index,
-            class_name=class_name,
-            probabilities=np.asarray(probabilities),
-            latency_ms=latency_ms,
-            cache_hit=cache_hit,
-            batch_size=batch_size,
-            shard_id=self.shard_id,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,20 +18,23 @@ request flows through three stages:
 Results are written back to the cache, so repeated traffic gets cheaper
 over time.
 
-Standalone, a :class:`BatchedServer` is the PR 1 *single-queue* server:
-one scheduler and one cache shared by every model it is asked for.  Under
-:class:`~repro.serve.shard.ShardedServer` the very same class is embedded
-once per shard replica -- pinned to a single variant via ``allowed_models``,
-stamped with a ``shard_id``, owning a private scheduler and cache.  That is
-the "single-queue server as one shard specialization" refactor: sharding
-composes this class instead of duplicating it.
+Standalone, a :class:`BatchedServer` is a *single-queue* server: one
+scheduler and one cache shared by every model it is asked for.  Under
+:class:`~repro.serve.shard.ShardedServer` the same class is embedded once
+per shard replica -- pinned to a single variant via ``allowed_models``,
+stamped with a ``shard_id``, owning a private scheduler and cache.
+
+The front half of every serving queue -- model validation, counting, the
+cache probe and cache-hit answer, and turning a finished batch's
+probability rows into responses and cache entries -- lives once, in
+:class:`_ServingQueue`.  :class:`BatchedServer` adds only its
+:class:`~repro.serve.batching.MicroBatcher` and the in-process forward;
+:class:`~repro.serve.procshard.ProcessReplica` adds only its pipe,
+busy-driven buffer and worker lifecycle.
 
 Thread-safety: ``submit`` may be called from any number of threads; the
-cache and the scheduler queue are internally locked.  ``restart`` and
-``stop`` are owner operations and must not race each other.
-
-``InferenceServer`` remains as a backwards-compatible alias of
-:class:`BatchedServer`.
+cache, the counters and the scheduler queue are internally locked.
+``restart`` and ``stop`` are owner operations and must not race each other.
 """
 
 from __future__ import annotations
@@ -49,10 +52,202 @@ from .cache import cache_metrics, image_fingerprint, make_prediction_cache
 from .registry import ModelRegistry
 from .types import PredictRequest, PredictResponse, ServerStats, UnknownModelError
 
-__all__ = ["BatchedServer", "InferenceServer"]
+__all__ = ["BatchedServer"]
 
 
-class BatchedServer:
+class _PredictMixin:
+    """``predict``/``predict_many`` and ``with`` support over ``submit``.
+
+    Shared by every serving front (queues and the sharded router): the
+    host class supplies ``submit``, ``flush``, ``start``, ``stop`` and a
+    ``mode`` attribute; sync-mode fronts are flushed before waiting.
+    """
+
+    def predict(self, image: np.ndarray, model: str = "baseline") -> PredictResponse:
+        """Synchronous convenience: submit one image and wait for the answer."""
+
+        future = self.submit(PredictRequest(image=image, model=model))
+        if self.mode == "sync":
+            self.flush()
+        return future.result()
+
+    def predict_many(
+        self, images: np.ndarray, model: str = "baseline"
+    ) -> List[PredictResponse]:
+        """Submit a stack of images and wait for all responses (in order)."""
+
+        futures = [self.submit(PredictRequest(image=image, model=model)) for image in images]
+        if self.mode == "sync":
+            self.flush()
+        return [future.result() for future in futures]
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
+
+
+class _ServingQueue(_PredictMixin):
+    """Front half of one serving queue, shared by thread and process replicas.
+
+    Owns the prediction cache, class names, model pinning, counters and the
+    optional batch tuner, and implements the two steps every queue shares:
+
+    * **admit** (:meth:`submit`) -- validate the model, count the request,
+      probe the cache and answer a hit at once; a miss goes to the
+      subclass's ``_enqueue``;
+    * **answer** (:meth:`_answer`) -- for a finished batch, count it, build
+      one response per probability row and cache each row.
+
+    Subclasses supply ``mode``, ``alive``, ``start``/``stop``/``flush`` and
+    ``_enqueue(request) -> Future``: how a cache miss reaches a forward.
+    See :class:`BatchedServer` for the meaning of the parameters.
+    """
+
+    def __init__(
+        self,
+        *,
+        max_batch_size: int = 32,
+        max_wait_ms: float = 2.0,
+        cache_size: int = 1024,
+        cache_policy: str = "lru",
+        autotune: bool = False,
+        tuner: Optional[BatchTuner] = None,
+        class_names: Optional[Sequence[str]] = None,
+        allowed_models: Optional[Sequence[str]] = None,
+        shard_id: Optional[str] = None,
+    ) -> None:
+        self.cache = make_prediction_cache(cache_policy, cache_size)
+        self.class_names = list(class_names) if class_names is not None else list(SIGN_CLASSES)
+        self.allowed_models = frozenset(allowed_models) if allowed_models is not None else None
+        self.shard_id = shard_id
+        self.stats = ServerStats()
+        # The constructor values are the tuner's *starting point*, so the
+        # ladder/wait bounds widen to include them when they sit outside
+        # the defaults -- autotune must never silently clamp an explicit
+        # configuration.  An injected tuner is used as given.
+        max_wait_s = max_wait_ms / 1000.0
+        if tuner is None and autotune:
+            tuner = BatchTuner(
+                initial_batch_size=max_batch_size,
+                initial_wait=max_wait_s,
+                min_batch_size=min(2, max_batch_size),
+                max_batch_size=max(64, max_batch_size),
+                min_wait=min(0.0005, max_wait_s),
+                max_wait=max(0.010, max_wait_s),
+            )
+        self.tuner = tuner
+
+    def metrics(self) -> dict:
+        """Live serving metrics of this queue (JSON-friendly).
+
+        One envelope per queue: the lifetime :class:`ServerStats` counters
+        (including per-model request counts and the batch-size histogram),
+        the prediction cache's counters/hit rate, and -- when autotuning --
+        the tuner's snapshot with its current and best-known rungs.  This
+        is what the HTTP gateway's ``GET /metrics`` serves; sharded
+        ``metrics()`` nests one envelope per replica.
+        """
+
+        return {
+            "mode": self.mode,
+            "alive": self.alive,
+            "shard_id": self.shard_id,
+            "stats": self.stats.as_dict(),
+            "cache": cache_metrics(self.cache),
+            "autotune": self.tuner.as_dict() if self.tuner is not None else None,
+        }
+
+    def submit(self, request: PredictRequest) -> "Future[PredictResponse]":
+        """Submit one request; returns a ``Future[PredictResponse]``.
+
+        Cache hits resolve the future immediately; misses resolve when the
+        batch carrying the request completes.  Raises
+        :class:`~repro.serve.types.UnknownModelError` for a model this
+        queue does not serve, and ``RuntimeError`` when the queue is not
+        running.  Safe to call from any thread.
+        """
+
+        self._validate(request.model)
+        self.stats.record_request(request.model)
+        started = time.perf_counter()
+        if self.cache.enabled:
+            probabilities = self.cache.get(image_fingerprint(request.model, request.image))
+            if probabilities is not None:
+                self.stats.record_hit()
+                future: "Future[PredictResponse]" = Future()
+                future.set_result(
+                    self._build_response(
+                        request,
+                        probabilities,
+                        latency_ms=(time.perf_counter() - started) * 1000.0,
+                        cache_hit=True,
+                        batch_size=1,
+                    )
+                )
+                return future
+        return self._enqueue(request)
+
+    def _validate(self, model: str) -> None:
+        """Reject (and count) a request for a variant this queue is not pinned to."""
+
+        if self.allowed_models is not None and model not in self.allowed_models:
+            self.stats.record_rejected()
+            raise UnknownModelError(model, self.allowed_models)
+
+    def _answer(
+        self, items: Sequence[QueuedRequest], probabilities: np.ndarray, now: float
+    ) -> List[PredictResponse]:
+        """Count one finished batch; return its responses and cache its rows."""
+
+        self.stats.record_batch(len(items))
+        responses: List[PredictResponse] = []
+        for item, probability_row in zip(items, probabilities):
+            responses.append(
+                self._build_response(
+                    item.request,
+                    probability_row,
+                    latency_ms=(now - item.submitted_at) * 1000.0,
+                    cache_hit=False,
+                    batch_size=len(items),
+                )
+            )
+            if self.cache.enabled:
+                self.cache.put(
+                    image_fingerprint(item.request.model, item.request.image),
+                    probability_row,
+                )
+        return responses
+
+    def _build_response(
+        self,
+        request: PredictRequest,
+        probabilities: np.ndarray,
+        latency_ms: float,
+        cache_hit: bool,
+        batch_size: int,
+    ) -> PredictResponse:
+        class_index = int(np.argmax(probabilities))
+        class_name = (
+            self.class_names[class_index]
+            if 0 <= class_index < len(self.class_names)
+            else str(class_index)
+        )
+        return PredictResponse(
+            request_id=request.request_id,
+            model=request.model,
+            class_index=class_index,
+            class_name=class_name,
+            probabilities=np.asarray(probabilities),
+            latency_ms=latency_ms,
+            cache_hit=cache_hit,
+            batch_size=batch_size,
+            shard_id=self.shard_id,
+        )
+
+
+class BatchedServer(_ServingQueue):
     """Batched, cached inference over a registry of defended classifiers.
 
     Parameters
@@ -113,27 +308,18 @@ class BatchedServer:
         allowed_models: Optional[Sequence[str]] = None,
         shard_id: Optional[str] = None,
     ) -> None:
+        super().__init__(
+            max_batch_size=max_batch_size,
+            max_wait_ms=max_wait_ms,
+            cache_size=cache_size,
+            cache_policy=cache_policy,
+            autotune=autotune,
+            tuner=tuner,
+            class_names=class_names,
+            allowed_models=allowed_models,
+            shard_id=shard_id,
+        )
         self.registry = registry
-        self.cache = make_prediction_cache(cache_policy, cache_size)
-        self.class_names = list(class_names) if class_names is not None else list(SIGN_CLASSES)
-        self.allowed_models = frozenset(allowed_models) if allowed_models is not None else None
-        self.shard_id = shard_id
-        self.stats = ServerStats()
-        # The constructor values are the tuner's *starting point*, so the
-        # ladder/wait bounds widen to include them when they sit outside
-        # the defaults -- autotune must never silently clamp an explicit
-        # configuration.  An injected tuner is used as given.
-        max_wait_s = max_wait_ms / 1000.0
-        if tuner is None and autotune:
-            tuner = BatchTuner(
-                initial_batch_size=max_batch_size,
-                initial_wait=max_wait_s,
-                min_batch_size=min(2, max_batch_size),
-                max_batch_size=max(64, max_batch_size),
-                min_wait=min(0.0005, max_wait_s),
-                max_wait=max(0.010, max_wait_s),
-            )
-        self.tuner = tuner
         self._batcher_settings = {
             "max_batch_size": max_batch_size,
             "max_wait": max_wait_ms / 1000.0,
@@ -196,7 +382,7 @@ class BatchedServer:
             pass
         stranded = self.batcher.take_pending()
         self.batcher = MicroBatcher(self._run_batch, **self._batcher_settings)
-        self.stats.restarts += 1
+        self.stats.record_restart()
         self.start()
         if stranded:
             self.batcher.adopt(stranded)
@@ -206,31 +392,6 @@ class BatchedServer:
         """Run every pending request now (sync mode; no-op in thread mode)."""
 
         self.batcher.flush()
-
-    def __enter__(self) -> "BatchedServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def metrics(self) -> dict:
-        """Live serving metrics of this queue (JSON-friendly).
-
-        One envelope per queue: the lifetime :class:`ServerStats` counters
-        (including per-model request counts and the batch-size histogram),
-        the prediction cache's counters/hit rate, and -- when autotuning --
-        the tuner's snapshot with its current and best-known rungs.  This
-        is what the HTTP gateway's ``GET /metrics`` serves.
-        """
-
-        return {
-            "mode": self.mode,
-            "alive": self.alive,
-            "shard_id": self.shard_id,
-            "stats": self.stats.as_dict(),
-            "cache": cache_metrics(self.cache),
-            "autotune": self.tuner.as_dict() if self.tuner is not None else None,
-        }
 
     def warm(self, model: str = "baseline") -> None:
         """Materialize a variant (and its compiled engine) ahead of traffic.
@@ -246,70 +407,21 @@ class BatchedServer:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> "Future[PredictResponse]":
-        """Submit one request; returns a ``Future[PredictResponse]``.
-
-        Cache hits resolve the future immediately; misses resolve when the
-        micro-batch containing the request completes.  Raises
-        :class:`~repro.serve.types.UnknownModelError` when the server is
-        pinned to other variants -- or, unpinned, when the registry can
-        neither resolve nor train the requested name -- and
-        ``RuntimeError`` when a thread-mode scheduler is not running.
-        Safe to call from any thread.
-        """
-
-        if self.allowed_models is not None:
-            if request.model not in self.allowed_models:
-                self.stats.rejected += 1
-                raise UnknownModelError(request.model, self.allowed_models)
-        elif not self.registry.can_serve(request.model):
+    def _validate(self, model: str) -> None:
+        if self.allowed_models is None and not self.registry.can_serve(model):
             # Unrestricted servers used to accept any name and fail the
             # whole micro-batch at forward time; validating here fails only
             # the offending request, keeps the wire fronts' 404 mapping
             # honest, and stops client-controlled garbage names from
             # growing the per-model stats without bound.
-            self.stats.rejected += 1
+            self.stats.record_rejected()
             raise UnknownModelError(
-                request.model,
-                set(self.registry.loaded()) | self.registry.catalog_names(),
+                model, set(self.registry.loaded()) | self.registry.catalog_names()
             )
-        self.stats.record_request(request.model)
-        started = time.perf_counter()
-        if self.cache.enabled:
-            key = image_fingerprint(request.model, request.image)
-            probabilities = self.cache.get(key)
-            if probabilities is not None:
-                self.stats.cache_hits += 1
-                future: "Future[PredictResponse]" = Future()
-                future.set_result(
-                    self._build_response(
-                        request,
-                        probabilities,
-                        latency_ms=(time.perf_counter() - started) * 1000.0,
-                        cache_hit=True,
-                        batch_size=1,
-                    )
-                )
-                return future
+        super()._validate(model)
+
+    def _enqueue(self, request: PredictRequest) -> "Future[PredictResponse]":
         return self.batcher.submit(request)
-
-    def predict(self, image: np.ndarray, model: str = "baseline") -> PredictResponse:
-        """Synchronous convenience: submit one image and wait for the answer."""
-
-        future = self.submit(PredictRequest(image=image, model=model))
-        if self.mode == "sync":
-            self.flush()
-        return future.result()
-
-    def predict_many(
-        self, images: np.ndarray, model: str = "baseline"
-    ) -> List[PredictResponse]:
-        """Submit a stack of images and wait for all responses (in order)."""
-
-        futures = [self.submit(PredictRequest(image=image, model=model)) for image in images]
-        if self.mode == "sync":
-            self.flush()
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # Batch execution (called by the scheduler)
@@ -326,53 +438,4 @@ class BatchedServer:
         else:
             engine = self.registry.engine(model_name)
             probabilities = engine.predict_proba(images, batch_size=len(images))
-        now = time.perf_counter()
-        self.stats.record_batch(len(items))
-        responses: List[PredictResponse] = []
-        for item, probability_row in zip(items, probabilities):
-            response = self._build_response(
-                item.request,
-                probability_row,
-                latency_ms=(now - item.submitted_at) * 1000.0,
-                cache_hit=False,
-                batch_size=len(items),
-            )
-            responses.append(response)
-            if self.cache.enabled:
-                self.cache.put(
-                    image_fingerprint(item.request.model, item.request.image),
-                    probability_row,
-                )
-        return responses
-
-    def _build_response(
-        self,
-        request: PredictRequest,
-        probabilities: np.ndarray,
-        latency_ms: float,
-        cache_hit: bool,
-        batch_size: int,
-    ) -> PredictResponse:
-        class_index = int(np.argmax(probabilities))
-        class_name = (
-            self.class_names[class_index]
-            if 0 <= class_index < len(self.class_names)
-            else str(class_index)
-        )
-        return PredictResponse(
-            request_id=request.request_id,
-            model=request.model,
-            class_index=class_index,
-            class_name=class_name,
-            probabilities=np.asarray(probabilities),
-            latency_ms=latency_ms,
-            cache_hit=cache_hit,
-            batch_size=batch_size,
-            shard_id=self.shard_id,
-        )
-
-
-#: Backwards-compatible name from PR 1, kept so existing imports and the
-#: pickled/documented API keep working.  New code should say
-#: :class:`BatchedServer`.
-InferenceServer = BatchedServer
+        return self._answer(items, probabilities, time.perf_counter())

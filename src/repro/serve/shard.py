@@ -39,11 +39,9 @@ import threading
 from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from .procshard import ProcessReplica
 from .registry import ModelRegistry
-from .server import BatchedServer
+from .server import BatchedServer, _PredictMixin
 from .types import PredictRequest, PredictResponse, ServerStats, UnknownModelError
 
 __all__ = [
@@ -193,7 +191,7 @@ class ShardReplica:
         )
 
 
-class ShardedServer:
+class ShardedServer(_PredictMixin):
     """Route multi-model traffic to per-variant shards of batched servers.
 
     Parameters
@@ -280,8 +278,7 @@ class ShardedServer:
             "autotune": autotune,
             "class_names": class_names,
         }
-        self._rejected = 0
-        self._rejected_lock = threading.Lock()
+        self._routing_stats = ServerStats()  # rejections of unserved models
         self._shards: Dict[str, List[ShardReplica]] = {}
         self._shard_locks: Dict[str, threading.Lock] = {}
         for model in models:
@@ -294,29 +291,13 @@ class ShardedServer:
     def _build_replica_server(self, model: str, index: int):
         """One pinned replica server for ``model``: batched (thread/sync) or process."""
 
-        if self._mode == "process":
-            return ProcessReplica(
-                lambda name=model: self.registry.snapshot(name),
-                max_batch_size=self._replica_settings["max_batch_size"],
-                cache_size=self._replica_settings["cache_size"],
-                cache_policy=self._replica_settings["cache_policy"],
-                autotune=self._replica_settings["autotune"],
-                class_names=self._replica_settings["class_names"],
-                allowed_models=(model,),
-                shard_id=f"{model}/{index}",
-            )
-        return BatchedServer(
-            self.registry,
-            max_batch_size=self._replica_settings["max_batch_size"],
-            max_wait_ms=self._replica_settings["max_wait_ms"],
-            cache_size=self._replica_settings["cache_size"],
-            cache_policy=self._replica_settings["cache_policy"],
-            mode=self._mode,
-            autotune=self._replica_settings["autotune"],
-            class_names=self._replica_settings["class_names"],
-            allowed_models=(model,),
-            shard_id=f"{model}/{index}",
+        settings = dict(
+            self._replica_settings, allowed_models=(model,), shard_id=f"{model}/{index}"
         )
+        if self._mode == "process":
+            del settings["max_wait_ms"]  # process batches are busy-driven
+            return ProcessReplica(lambda name=model: self.registry.snapshot(name), **settings)
+        return BatchedServer(self.registry, mode=self._mode, **settings)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -355,12 +336,10 @@ class ShardedServer:
         first), so they are counted at the fleet level and folded in here.
         """
 
-        total = ServerStats.aggregate(
-            replica.server.stats for replica in self.all_replicas
+        return ServerStats.aggregate(
+            [replica.server.stats for replica in self.all_replicas]
+            + [self._routing_stats]
         )
-        with self._rejected_lock:
-            total.rejected += self._rejected
-        return total
 
     def metrics(self) -> Dict[str, object]:
         """Fleet-wide serving metrics plus one envelope per shard replica.
@@ -425,12 +404,6 @@ class ShardedServer:
         for name in models:
             self.shard(name)[0].server.warm(name)
 
-    def __enter__(self) -> "ShardedServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
@@ -447,8 +420,7 @@ class ShardedServer:
         try:
             replicas = self.shard(request.model)
         except UnknownModelError:
-            with self._rejected_lock:
-                self._rejected += 1
+            self._routing_stats.record_rejected()
             raise
         with self._shard_locks[request.model]:
             replica = self.policy.select(replicas)
@@ -462,22 +434,6 @@ class ShardedServer:
                 # retry.  A second failure propagates to the caller.
                 replica.server.restart()
                 return replica.submit(request)
-
-    def predict(self, image: np.ndarray, model: str) -> PredictResponse:
-        """Synchronous convenience: submit one image and wait for the answer."""
-
-        future = self.submit(PredictRequest(image=image, model=model))
-        if self.mode == "sync":
-            self.flush()
-        return future.result()
-
-    def predict_many(self, images: np.ndarray, model: str) -> List[PredictResponse]:
-        """Submit a stack of images to one model and wait for all responses."""
-
-        futures = [self.submit(PredictRequest(image=image, model=model)) for image in images]
-        if self.mode == "sync":
-            self.flush()
-        return [future.result() for future in futures]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,17 +11,15 @@ it).  :class:`ServerStats` aggregates counters over one server's lifetime;
 
 Thread-safety: request/response objects are plain value carriers and are
 never mutated by the serving layer after construction; they may be shared
-freely across threads.  ``ServerStats`` counters are bumped without a lock
-from whichever thread performs the event (submitters bump ``requests`` /
-``cache_hits`` / ``rejected``, the scheduler worker bumps the batch
-counters), so they are monitoring-grade approximations: under concurrent
-submitters a race can lose an increment, and readers may observe values
-mid-update.  Nothing in the serving layer makes control-flow decisions
-from these counters.
+freely across threads.  ``ServerStats`` counters are exact: submitters,
+scheduler workers and process-shard receivers all mutate them through the
+``record_*`` methods, which hold the instance's lock, and :meth:`as_dict` /
+:meth:`aggregate` read consistent snapshots under the same lock.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
@@ -135,9 +133,12 @@ class PredictResponse:
 class ServerStats:
     """Lifetime counters of one serving queue.
 
-    Each :class:`~repro.serve.server.BatchedServer` (standalone or embedded
+    Each :class:`~repro.serve.server.BatchedServer` or
+    :class:`~repro.serve.procshard.ProcessReplica` (standalone or embedded
     as a shard replica) owns one instance; sharded deployments merge the
-    per-replica instances with :meth:`aggregate`.
+    per-replica instances with :meth:`aggregate`.  Mutate only through the
+    ``record_*`` methods: they share one lock, so concurrent updates from
+    submitter, scheduler and receiver threads are never lost.
     """
 
     requests: int = 0
@@ -148,19 +149,42 @@ class ServerStats:
     restarts: int = 0
     batch_sizes: Dict[int, int] = field(default_factory=dict)
     per_model: Dict[str, int] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def record_request(self, model: str) -> None:
         """Record one accepted request for ``model`` (feeds the per-model counts)."""
 
-        self.requests += 1
-        self.per_model[model] = self.per_model.get(model, 0) + 1
+        with self._lock:
+            self.requests += 1
+            self.per_model[model] = self.per_model.get(model, 0) + 1
+
+    def record_hit(self) -> None:
+        """Record one request answered from the prediction cache."""
+
+        with self._lock:
+            self.cache_hits += 1
+
+    def record_rejected(self) -> None:
+        """Record one request refused at submit time (unserved model)."""
+
+        with self._lock:
+            self.rejected += 1
 
     def record_batch(self, size: int) -> None:
         """Record one executed micro-batch of ``size`` images."""
 
-        self.batches += 1
-        self.batched_images += size
-        self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
+        with self._lock:
+            self.batches += 1
+            self.batched_images += size
+            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
+
+    def record_restart(self) -> None:
+        """Record one revival of a crashed scheduler or worker process."""
+
+        with self._lock:
+            self.restarts += 1
 
     @property
     def cache_hit_rate(self) -> float:
@@ -175,45 +199,45 @@ class ServerStats:
         return self.batched_images / self.batches if self.batches else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly summary."""
+        """JSON-friendly summary, read as one consistent snapshot."""
 
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "batches": self.batches,
-            "batched_images": self.batched_images,
-            "mean_batch_size": self.mean_batch_size,
-            "rejected": self.rejected,
-            "restarts": self.restarts,
-            # Snapshots: workers may be inserting keys concurrently.
-            "per_model_requests": dict(self.per_model),
-            "batch_size_histogram": {
-                str(size): count for size, count in sorted(dict(self.batch_sizes).items())
-            },
-        }
+        with self._lock:
+            return {
+                "requests": self.requests,
+                "cache_hits": self.cache_hits,
+                "cache_hit_rate": self.cache_hit_rate,
+                "batches": self.batches,
+                "batched_images": self.batched_images,
+                "mean_batch_size": self.mean_batch_size,
+                "rejected": self.rejected,
+                "restarts": self.restarts,
+                "per_model_requests": dict(self.per_model),
+                "batch_size_histogram": {
+                    str(size): count for size, count in sorted(self.batch_sizes.items())
+                },
+            }
 
     @classmethod
     def aggregate(cls, parts: Iterable["ServerStats"]) -> "ServerStats":
         """Merge several per-queue counter sets into one combined view.
 
-        Returns a new instance; the inputs are not modified.  Used by
-        :class:`~repro.serve.shard.ShardedServer` to expose fleet-wide
-        stats over its replicas.
+        Returns a new instance; the inputs are not modified.  Each part is
+        read under its own lock, so every part contributes a consistent
+        snapshot.  Used by :class:`~repro.serve.shard.ShardedServer` to
+        expose fleet-wide stats over its replicas.
         """
 
         total = cls()
         for part in parts:
-            total.requests += part.requests
-            total.cache_hits += part.cache_hits
-            total.batches += part.batches
-            total.batched_images += part.batched_images
-            total.rejected += part.rejected
-            total.restarts += part.restarts
-            # Snapshot: a scheduler worker may insert a new batch-size key
-            # while we aggregate from another thread.
-            for size, count in dict(part.batch_sizes).items():
-                total.batch_sizes[size] = total.batch_sizes.get(size, 0) + count
-            for model, count in dict(part.per_model).items():
-                total.per_model[model] = total.per_model.get(model, 0) + count
+            with part._lock:
+                total.requests += part.requests
+                total.cache_hits += part.cache_hits
+                total.batches += part.batches
+                total.batched_images += part.batched_images
+                total.rejected += part.rejected
+                total.restarts += part.restarts
+                for size, count in part.batch_sizes.items():
+                    total.batch_sizes[size] = total.batch_sizes.get(size, 0) + count
+                for model, count in part.per_model.items():
+                    total.per_model[model] = total.per_model.get(model, 0) + count
         return total

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,11 +14,12 @@ from repro.core import DefenseConfig, DefendedClassifier
 from repro.data import make_dataset
 from repro.models.factory import resolve_variant, variant_catalog
 from repro.serve import (
-    InferenceServer,
+    BatchedServer,
     MicroBatcher,
     ModelRegistry,
     PredictionCache,
     PredictRequest,
+    ServerStats,
     generate_requests,
     image_fingerprint,
     run_load,
@@ -118,6 +121,34 @@ def _echo_runner(model_name, items):
             )
         )
     return responses
+
+
+class TestServerStats:
+    def test_concurrent_record_request_loses_no_count(self):
+        per_thread = 100_000
+        stats = ServerStats()
+
+        def submitter(model):
+            for _ in range(per_thread):
+                stats.record_request(model)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-update
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(model,))
+                for model in ("baseline", "baseline", "feature_filter_3x3", "input_filter_5x5")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = stats.as_dict()
+        assert stats.requests == sum(stats.per_model.values()) == 4 * per_thread
+        assert snapshot["per_model_requests"]["baseline"] == 2 * per_thread
 
 
 class TestMicroBatcher:
@@ -293,7 +324,7 @@ class TestModelRegistry:
 # ----------------------------------------------------------------------
 class TestInferenceServer:
     def test_sync_predictions_match_classifier(self, memory_registry, served_classifier, pool):
-        server = InferenceServer(memory_registry, mode="sync", max_batch_size=8, cache_size=0)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=0)
         responses = server.predict_many(pool)
         expected = served_classifier.predict(pool)
         assert [response.class_index for response in responses] == list(expected)
@@ -302,7 +333,7 @@ class TestInferenceServer:
         assert server.stats.mean_batch_size > 1
 
     def test_cache_hit_on_duplicate(self, memory_registry, pool):
-        server = InferenceServer(memory_registry, mode="sync", max_batch_size=8, cache_size=32)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=32)
         first = server.predict(pool[0])
         second = server.predict(pool[0])
         assert not first.cache_hit and second.cache_hit
@@ -311,7 +342,7 @@ class TestInferenceServer:
         assert server.stats.cache_hits == 1
 
     def test_thread_mode_end_to_end(self, memory_registry, served_classifier, pool):
-        with InferenceServer(
+        with BatchedServer(
             memory_registry, mode="thread", max_batch_size=4, max_wait_ms=2.0, cache_size=0
         ) as server:
             futures = [server.submit(PredictRequest(image=image)) for image in pool]
@@ -328,7 +359,7 @@ class TestInferenceServer:
         classifier.fit(train_set, tiny_training_config)
         registry = ModelRegistry(None, image_size=IMAGE_SIZE)
         registry.add("rand_smooth_0.1", classifier, persist=False)
-        server = InferenceServer(registry, mode="sync", cache_size=0)
+        server = BatchedServer(registry, mode="sync", cache_size=0)
         response = server.predict(train_set.images[0], model="rand_smooth_0.1")
         # Vote shares are multiples of 1/num_samples.
         np.testing.assert_allclose(
@@ -336,7 +367,7 @@ class TestInferenceServer:
         )
 
     def test_response_metadata(self, memory_registry, pool):
-        server = InferenceServer(memory_registry, mode="sync", cache_size=0)
+        server = BatchedServer(memory_registry, mode="sync", cache_size=0)
         response = server.predict(pool[0])
         payload = response.as_dict()
         assert payload["model"] == "baseline"
@@ -368,7 +399,7 @@ class TestTraffic:
 
     def test_run_load_and_naive_reports(self, memory_registry, served_classifier, pool):
         requests = generate_requests(pool, 16, duplicate_fraction=0.5, seed=2)
-        server = InferenceServer(memory_registry, mode="sync", max_batch_size=8, cache_size=64)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=64)
         report = run_load(server, requests)
         assert report.requests == 16
         assert report.images_per_second > 0

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.nn.conv import conv2d, depthwise_conv2d, max_pool2d
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 
 
@@ -318,6 +322,28 @@ class TestGraphMechanics:
             y = y + 1.0
         y.sum().backward()
         assert np.allclose(x.grad, [1.0])
+
+    def test_graph_is_freed_by_refcount_after_backward(self):
+        # A node that references itself (e.g. a backward closure over its
+        # own output) keeps the whole graph -- im2col buffers included --
+        # alive until a cyclic GC pass; with gc off it must die at ``del``.
+        rng = np.random.default_rng(0)
+        images = Tensor(rng.standard_normal((2, 3, 8, 8)))
+        weight = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        blur = Tensor(np.full((4, 3, 3), 1.0 / 9.0), requires_grad=True)
+        gc.disable()
+        try:
+            features = conv2d(images, weight, padding=1)
+            blurred = depthwise_conv2d(features, blur, padding=1)
+            pooled = max_pool2d(blurred, kernel=2)
+            loss = pooled.sum()
+            loss.backward()
+            refs = [weakref.ref(node) for node in (features, blurred, pooled, loss)]
+            del features, blurred, pooled, loss
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+        assert weight.grad is not None and blur.grad is not None
 
     def test_no_grad_disables_graph(self):
         with no_grad():
